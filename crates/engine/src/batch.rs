@@ -1,17 +1,19 @@
-//! Submission queues and completion store for batched execution.
+//! The request record, the standalone engine's queue, and the completion
+//! store.
 //!
-//! Requests are grouped per matrix: everything in one queue targets the
-//! same `Arc<CsrMatrix>` allocation, so a flush can interleave the pending
-//! operands — single vectors and dense blocks alike — into one
-//! [`mps_sparse::DenseBlock`] and run them through a single column-tiled
-//! SpMM traversal. The data structures live here; the drain logic (which
-//! needs the plan cache and workspace pool) lives on
-//! [`crate::Engine::flush`].
+//! Every request — submitted to a standalone [`crate::Engine`] or to a
+//! [`crate::Service`] shard — is one [`Request`]: the matrix with its
+//! memoized fingerprint, the operand, and its deadline and tenant. It
+//! waits in exactly one queue (the engine's [`Queue`] or a shard's
+//! per-tenant injector), is admitted once, handed to the queue-less
+//! executor ([`crate::exec`]), and resolves into exactly one
+//! [`Completions`] store.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use mps_core::PlanError;
 use mps_sparse::{CsrMatrix, DenseBlock};
 
 use crate::error::{EngineError, TenantId};
@@ -22,15 +24,16 @@ use crate::EngineOutput;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ticket(pub(crate) u64);
 
-/// Queue identity: the pattern fingerprint plus the address of the matrix
-/// allocation. Two matrices can share a sparsity pattern (and therefore a
-/// cached plan) while holding different values, so batching them through
-/// one queue — which pins a single matrix — would compute with the wrong
-/// values. The address disambiguates: while a queue holds its `Arc`, the
-/// allocation cannot be freed, so equal addresses mean the same matrix.
+/// Matrix identity: the pattern fingerprint plus the address of the
+/// matrix allocation. Two matrices can share a sparsity pattern (and
+/// therefore a cached plan) while holding different values, so batching
+/// them into one traversal — which pins a single matrix — would compute
+/// with the wrong values. The address disambiguates: while a request holds
+/// its `Arc`, the allocation cannot be freed, so equal addresses mean the
+/// same matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct QueueKey {
-    pub fingerprint: u64,
+    fingerprint: u64,
     ptr: usize,
 }
 
@@ -43,27 +46,23 @@ impl QueueKey {
     }
 }
 
-/// What a request wants multiplied: one vector (SpMV) or a dense block
-/// (SpMM). Both coalesce into the same column-tiled traversal; the payload
-/// kind decides the [`EngineOutput`] variant handed back at redemption.
-pub(crate) enum RequestPayload {
+/// What a request multiplies `a` by: one vector (SpMV) or a dense block
+/// (SpMM) — both coalesce into the same column-tiled traversal, and the
+/// kind decides the [`EngineOutput`] variant — or a second sparse matrix
+/// (SpGEMM), replayed numeric-only against the cached symbolic plan.
+pub(crate) enum Op {
     Vector(Vec<f64>),
     Block(DenseBlock),
-}
-
-impl RequestPayload {
-    /// Output columns this payload contributes to a coalesced traversal.
-    pub fn cols(&self) -> usize {
-        match self {
-            RequestPayload::Vector(_) => 1,
-            RequestPayload::Block(b) => b.cols,
-        }
-    }
+    Gemm { b: Arc<CsrMatrix>, fp_b: u64 },
 }
 
 pub(crate) struct Request {
-    pub ticket: Ticket,
-    pub payload: RequestPayload,
+    /// Raw engine [`Ticket`] or [`crate::ServiceTicket`] value.
+    pub ticket: u64,
+    pub a: Arc<CsrMatrix>,
+    /// Memoized pattern fingerprint of `a`: picks the cached plan.
+    pub fp: u64,
+    pub op: Op,
     /// Absolute expiry; `None` means no deadline.
     pub deadline: Option<Instant>,
     /// Tenant attribution for errors and the per-tenant ledger; `None`
@@ -71,194 +70,167 @@ pub(crate) struct Request {
     pub tenant: Option<TenantId>,
 }
 
-/// A queued SpGEMM request. The operands live on the queue (every pending
-/// request in one queue multiplies the same `(A, B)` pair), so the request
-/// itself is just the handle plus its expiry and attribution.
-pub(crate) struct GemmRequest {
-    pub ticket: Ticket,
-    /// Absolute expiry; `None` means no deadline.
-    pub deadline: Option<Instant>,
-    /// Tenant attribution; `None` for plain engine submissions.
-    pub tenant: Option<TenantId>,
-}
-
-/// One per distinct `(A, B)` matrix pair with pending SpGEMM work. Keyed
-/// like the SpMV/SpMM queues — pattern fingerprints pick the cached
-/// symbolic plan, `Arc` addresses keep same-pattern pairs with different
-/// values apart.
-pub(crate) struct GemmQueue {
-    pub a: Arc<CsrMatrix>,
-    pub b: Arc<CsrMatrix>,
-    pub pending: VecDeque<GemmRequest>,
-}
-
-/// One per distinct matrix with pending work.
-pub(crate) struct Queue {
-    /// The matrix every pending request multiplies. Kept as an `Arc` so
-    /// the queue works even if the submitter drops its handle pre-flush
-    /// (and so the [`QueueKey`] address stays pinned).
-    pub matrix: Arc<CsrMatrix>,
-    pub pending: VecDeque<Request>,
-}
-
-/// A resolved request, stamped with the flush epoch that resolved it so
-/// unclaimed results can be aged out.
-pub(crate) struct Resolved {
-    epoch: u64,
-    pub result: Result<EngineOutput, EngineError>,
-}
-
-pub(crate) struct Batcher {
-    pub queues: HashMap<QueueKey, Queue>,
-    pub gemm_queues: HashMap<(QueueKey, QueueKey), GemmQueue>,
-    completed: HashMap<Ticket, Resolved>,
-    /// Number of completed [`crate::Engine::flush`] calls; the age unit
-    /// for [`Batcher::evict_stale`].
-    flush_epoch: u64,
-    next_ticket: u64,
-}
-
-impl Batcher {
-    pub fn new() -> Batcher {
-        Batcher {
-            queues: HashMap::new(),
-            gemm_queues: HashMap::new(),
-            completed: HashMap::new(),
-            flush_epoch: 0,
-            next_ticket: 0,
-        }
-    }
-
-    /// Enqueue a request, enforcing the per-queue depth limit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit(
-        &mut self,
-        fingerprint: u64,
-        matrix: &Arc<CsrMatrix>,
-        payload: RequestPayload,
-        deadline: Option<Instant>,
-        max_queue_depth: usize,
-        tenant: Option<TenantId>,
-    ) -> Result<Ticket, EngineError> {
-        let key = QueueKey::of(fingerprint, matrix);
-        let queue = self.queues.entry(key).or_insert_with(|| Queue {
-            matrix: Arc::clone(matrix),
-            pending: VecDeque::new(),
-        });
-        if queue.pending.len() >= max_queue_depth {
-            return Err(EngineError::Overloaded {
-                fingerprint,
-                queue_depth: queue.pending.len(),
-                limit: max_queue_depth,
-                tenant,
-            });
-        }
-        self.next_ticket += 1;
-        let ticket = Ticket(self.next_ticket);
-        queue.pending.push_back(Request {
-            ticket,
-            payload,
-            deadline,
-            tenant,
-        });
-        Ok(ticket)
-    }
-
-    /// Enqueue an SpGEMM request on the `(A, B)` pair's queue, enforcing
-    /// the per-queue depth limit. The `Overloaded` fingerprint reports
-    /// A's pattern (the queue's primary identity).
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_gemm(
-        &mut self,
-        fp_a: u64,
+impl Request {
+    /// Build a request, rejecting operands whose shape does not fit `a`
+    /// with [`PlanError::ShapeMismatch`] (SpGEMM: `b` must have
+    /// `a.num_cols` rows). This is the only operand-shape check on the
+    /// submission paths; the ticket is assigned on admission.
+    pub fn new(
         a: &Arc<CsrMatrix>,
-        fp_b: u64,
-        b: &Arc<CsrMatrix>,
+        fp: u64,
+        op: Op,
         deadline: Option<Instant>,
-        max_queue_depth: usize,
         tenant: Option<TenantId>,
-    ) -> Result<Ticket, EngineError> {
-        let key = (QueueKey::of(fp_a, a), QueueKey::of(fp_b, b));
-        let queue = self.gemm_queues.entry(key).or_insert_with(|| GemmQueue {
-            a: Arc::clone(a),
-            b: Arc::clone(b),
-            pending: VecDeque::new(),
-        });
-        if queue.pending.len() >= max_queue_depth {
-            return Err(EngineError::Overloaded {
-                fingerprint: fp_a,
-                queue_depth: queue.pending.len(),
-                limit: max_queue_depth,
-                tenant,
-            });
+    ) -> Result<Request, EngineError> {
+        // (rows, cols) of the right-hand operand, and the fewest columns
+        // it may have: a dense operand needs at least one.
+        let (got, min_cols) = match &op {
+            Op::Vector(x) => ((x.len(), 1), 1),
+            Op::Block(x) => ((x.rows, x.cols), 1),
+            Op::Gemm { b, .. } => ((b.num_rows, b.num_cols), 0),
+        };
+        if got.0 != a.num_cols || got.1 < min_cols {
+            return Err(PlanError::ShapeMismatch {
+                left: (a.num_cols, got.1.max(min_cols)),
+                right: got,
+            }
+            .into());
         }
-        self.next_ticket += 1;
-        let ticket = Ticket(self.next_ticket);
-        queue.pending.push_back(GemmRequest {
-            ticket,
+        Ok(Request {
+            ticket: 0,
+            a: Arc::clone(a),
+            fp,
+            op,
             deadline,
             tenant,
-        });
-        Ok(ticket)
+        })
     }
 
-    /// Record a request's outcome, redeemable via
-    /// [`crate::Engine::take_result`] until aged out.
-    pub fn complete(&mut self, ticket: Ticket, result: Result<EngineOutput, EngineError>) {
-        self.completed.insert(
-            ticket,
-            Resolved {
-                epoch: self.flush_epoch,
-                result,
-            },
-        );
+    /// Output columns this request contributes to a coalesced traversal
+    /// (SpGEMM requests never join one).
+    pub fn cols(&self) -> usize {
+        match &self.op {
+            Op::Vector(_) => 1,
+            Op::Block(b) => b.cols,
+            Op::Gemm { .. } => 0,
+        }
     }
 
-    /// Remove and return a resolved request's outcome.
-    pub fn take_completed(&mut self, ticket: Ticket) -> Option<Result<EngineOutput, EngineError>> {
-        self.completed.remove(&ticket).map(|r| r.result)
+    /// The standalone queue this request waits in: one per matrix for
+    /// SpMV/SpMM, one per `(A, B)` pair for SpGEMM.
+    pub fn queue_key(&self) -> (QueueKey, Option<QueueKey>) {
+        let b = match &self.op {
+            Op::Gemm { b, fp_b } => Some(QueueKey::of(*fp_b, b)),
+            _ => None,
+        };
+        (QueueKey::of(self.fp, &self.a), b)
+    }
+}
+
+/// Resolved requests, each stamped with the flush epoch that resolved it
+/// so unclaimed results age out.
+#[derive(Default)]
+pub(crate) struct Completions {
+    done: HashMap<u64, (u64, Result<EngineOutput, EngineError>)>,
+    /// Completed flushes (or service drains); the age unit.
+    epoch: u64,
+}
+
+impl Completions {
+    pub fn complete(&mut self, ticket: u64, result: Result<EngineOutput, EngineError>) {
+        self.done.insert(ticket, (self.epoch, result));
     }
 
-    /// Whether the ticket is still queued (submitted, not yet flushed).
-    pub fn is_pending(&self, ticket: Ticket) -> bool {
-        self.queues
-            .values()
-            .any(|q| q.pending.iter().any(|r| r.ticket == ticket))
-            || self
-                .gemm_queues
-                .values()
-                .any(|q| q.pending.iter().any(|r| r.ticket == ticket))
+    /// Remove and return a resolved request's outcome; a ticket with no
+    /// outcome is [`EngineError::NotReady`] while `pending` says it is
+    /// still queued, [`EngineError::UnknownTicket`] otherwise.
+    pub fn redeem(
+        &mut self,
+        ticket: u64,
+        pending: impl FnOnce() -> bool,
+    ) -> Result<EngineOutput, EngineError> {
+        match self.done.remove(&ticket) {
+            Some((_, result)) => result,
+            None if pending() => Err(EngineError::NotReady(ticket)),
+            None => Err(EngineError::UnknownTicket(ticket)),
+        }
     }
 
     /// Close out a flush: advance the epoch and drop unclaimed results
     /// older than `ttl_flushes` flushes, so tickets that are never
     /// redeemed (dropped by the caller, abandoned waves) cannot grow the
-    /// completed map without bound. Returns the number evicted.
-    pub fn evict_stale(&mut self, ttl_flushes: u64) -> u64 {
-        self.flush_epoch += 1;
-        let cutoff = self.flush_epoch.saturating_sub(ttl_flushes);
-        let before = self.completed.len();
-        self.completed.retain(|_, r| r.epoch >= cutoff);
-        (before - self.completed.len()) as u64
+    /// store without bound. Returns the number evicted.
+    pub fn end_flush(&mut self, ttl_flushes: u64) -> u64 {
+        self.epoch += 1;
+        let cutoff = self.epoch.saturating_sub(ttl_flushes);
+        let before = self.done.len();
+        self.done.retain(|_, (epoch, _)| *epoch >= cutoff);
+        (before - self.done.len()) as u64
+    }
+}
+
+/// A standalone engine's submission queue: requests in submission order
+/// plus per-queue depth counts, which
+/// [`crate::EngineConfig::max_queue_depth`] bounds.
+#[derive(Default)]
+pub(crate) struct Queue {
+    pending: Vec<Request>,
+    depth: HashMap<(QueueKey, Option<QueueKey>), usize>,
+    pub done: Completions,
+    next_ticket: u64,
+}
+
+impl Queue {
+    /// Requests waiting on one queue ([`Request::queue_key`]).
+    pub fn depth(&self, key: (QueueKey, Option<QueueKey>)) -> usize {
+        self.depth.get(&key).copied().unwrap_or(0)
     }
 
-    /// Requests waiting on one queue.
-    pub fn depth(&self, key: QueueKey) -> usize {
-        self.queues.get(&key).map_or(0, |q| q.pending.len())
+    /// Enqueue an admitted request and issue its ticket.
+    pub fn push(&mut self, mut req: Request) -> Ticket {
+        self.next_ticket += 1;
+        req.ticket = self.next_ticket;
+        *self.depth.entry(req.queue_key()).or_insert(0) += 1;
+        self.pending.push(req);
+        Ticket(self.next_ticket)
     }
 
-    /// SpGEMM requests waiting on one `(A, B)` pair's queue.
-    pub fn gemm_depth(&self, key: (QueueKey, QueueKey)) -> usize {
-        self.gemm_queues.get(&key).map_or(0, |q| q.pending.len())
+    /// Take every waiting request, in submission order.
+    pub fn take_all(&mut self) -> Vec<Request> {
+        self.depth.clear();
+        std::mem::take(&mut self.pending)
     }
 
-    /// Total requests waiting across all queues (SpMV/SpMM and SpGEMM).
-    pub fn total_pending(&self) -> usize {
-        self.queues.values().map(|q| q.pending.len()).sum::<usize>()
-            + self
-                .gemm_queues
-                .values()
-                .map(|q| q.pending.len())
-                .sum::<usize>()
+    pub fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Redeem a ticket against the completion store.
+    pub fn redeem(&mut self, ticket: u64) -> Result<EngineOutput, EngineError> {
+        let pending = &self.pending;
+        self.done
+            .redeem(ticket, || pending.iter().any(|r| r.ticket == ticket))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn completion_store_ages_out() {
+        let mut done = Completions::default();
+        done.complete(9, Err(EngineError::UnknownTicket(0)));
+        assert_eq!(done.end_flush(2), 0);
+        let resolved = done.redeem(9, || unreachable!("resolved tickets skip the scan"));
+        assert_eq!(resolved, Err(EngineError::UnknownTicket(0)));
+        assert_eq!(done.redeem(9, || true), Err(EngineError::NotReady(9)));
+        done.complete(10, Err(EngineError::UnknownTicket(0)));
+        done.end_flush(1);
+        assert_eq!(done.end_flush(1), 1, "aged out past ttl");
+        assert_eq!(
+            done.redeem(10, || false),
+            Err(EngineError::UnknownTicket(10))
+        );
     }
 }

@@ -5,8 +5,10 @@
 //! test fixtures instead of timing accidents. Every fault decision is a
 //! Bernoulli draw from one SplitMix64 stream seeded by
 //! [`ChaosConfig::seed`], and draws are consumed in the engine's
-//! deterministic processing order, so a `(seed, probabilities)` pair
-//! replays the identical fault schedule on every run.
+//! deterministic processing order (submission order at admission,
+//! first-seen matrix order at execution — never hash order), so a
+//! `(seed, probabilities)` pair replays the identical fault schedule on
+//! every run. Each [`crate::Service`] shard draws from its own stream.
 //!
 //! Injection points (all no-ops at the default zero probabilities):
 //!
@@ -16,10 +18,11 @@
 //! * **cache eviction storm** — a plan lookup finds the whole LRU cleared
 //!   and must rebuild, as if capacity pressure evicted everything;
 //! * **deadline expiry** — a deadline-carrying request is treated as
-//!   expired at flush regardless of wall clock
-//!   ([`crate::EngineError::DeadlineExceeded`]);
-//! * **admission rejection** — a submission is refused with
-//!   [`crate::EngineError::Overloaded`] regardless of queue depth.
+//!   expired at admission (engine flush or service drain) regardless of
+//!   wall clock ([`crate::EngineError::DeadlineExceeded`]);
+//! * **admission rejection** — a request is refused with
+//!   [`crate::EngineError::Overloaded`] regardless of queue depth: at
+//!   submit on a standalone engine, at drain on a service shard.
 //!
 //! Faults churn resources and surface typed errors; they never corrupt a
 //! successful result. A request that completes under chaos returns bits
@@ -37,11 +40,12 @@ pub struct ChaosConfig {
     /// Probability a plan-cache lookup is preceded by a full eviction
     /// storm (every cached plan dropped).
     pub cache_storm_p: f64,
-    /// Probability a deadline-carrying request is expired at flush
-    /// regardless of wall clock. Requests without deadlines are immune.
+    /// Probability a deadline-carrying request is expired at admission
+    /// (engine flush or service drain) regardless of wall clock.
+    /// Requests without deadlines are immune.
     pub deadline_expiry_p: f64,
-    /// Probability a submission is refused with `Overloaded` regardless
-    /// of actual queue depth.
+    /// Probability a request is refused with `Overloaded` regardless of
+    /// actual queue depth (at engine submit, or at service drain).
     pub reject_submit_p: f64,
 }
 
@@ -87,9 +91,9 @@ pub struct ChaosCounters {
     pub pool_exhaustions: u64,
     /// Plan lookups that hit a forced full-cache eviction storm.
     pub cache_storms: u64,
-    /// Deadline-carrying requests forcibly expired at flush.
+    /// Deadline-carrying requests forcibly expired at admission.
     pub forced_deadline_expiries: u64,
-    /// Submissions forcibly refused with `Overloaded`.
+    /// Requests forcibly refused with `Overloaded`.
     pub forced_rejections: u64,
 }
 

@@ -23,10 +23,10 @@ fn fmt_tenant(t: &Option<TenantId>) -> String {
 /// Why the engine refused (or failed to complete) a request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
-    /// The submission queue (per-fingerprint inside the engine, or the
-    /// per-tenant quota at the service layer) is full. Backpressure: the
-    /// caller should retry after a [`crate::Engine::flush`] drains the
-    /// queue, or shed the request.
+    /// The submission queue (per-matrix inside a standalone engine, or the
+    /// per-tenant quota at the service layer) is full, or the chaos
+    /// schedule refused the request. Backpressure: the caller should retry
+    /// after a flush drains the queue, or shed the request.
     Overloaded {
         /// Pattern fingerprint whose queue rejected the submission.
         fingerprint: u64,
@@ -63,7 +63,9 @@ pub enum EngineError {
     UnknownHandle(u64),
     /// A value update or pattern delta was rejected by plan validation
     /// (wrong value count, mismatched pattern, out-of-bounds delta
-    /// entry). The registered matrix is left untouched.
+    /// entry; the registered matrix is left untouched), or a submitted
+    /// operand does not fit its matrix ([`mps_core::PlanError::ShapeMismatch`];
+    /// nothing was queued).
     Plan(mps_core::PlanError),
 }
 
@@ -108,6 +110,11 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownTicket(t) => write!(f, "unknown or already-consumed ticket {t}"),
             EngineError::InvalidConfig(what) => write!(f, "invalid engine config: {what}"),
             EngineError::UnknownHandle(h) => write!(f, "unknown matrix handle {h}"),
+            EngineError::Plan(mps_core::PlanError::ShapeMismatch { left, right }) => write!(
+                f,
+                "operand rejected: expected a {}x{} operand, got {}x{}",
+                left.0, left.1, right.0, right.1
+            ),
             EngineError::Plan(e) => write!(f, "mutation rejected: {e}"),
         }
     }

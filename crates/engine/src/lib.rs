@@ -13,21 +13,25 @@
 //! * **Workspace pool** — checked-out [`Workspace`] arenas, prewarmed to
 //!   the pool's recorded high-water marks, keeping steady-state serving
 //!   zero-alloc.
-//! * **Batcher** — concurrent SpMV *and* SpMM submissions on the same
-//!   matrix are queued per matrix (pattern fingerprint plus `Arc`
-//!   identity, so same-pattern matrices with different values never share
-//!   a queue) and coalesced, up to [`EngineConfig::max_batch`] output
-//!   columns at a time, into a single column-tiled [`SpmmPlan`]
-//!   traversal; the result columns are split back to the submitters as
-//!   typed [`EngineOutput`]s. Because the tiled SpMM computes each output
-//!   column in exactly the SpMV reduction order (PR 2's per-column
+//! * **Batching** — concurrent SpMV *and* SpMM submissions on the same
+//!   matrix (pattern fingerprint plus `Arc` identity, so same-pattern
+//!   matrices with different values never share a traversal) are
+//!   coalesced at flush, up to [`EngineConfig::max_batch`] output columns
+//!   at a time, into a single column-tiled [`SpmmPlan`] traversal; the
+//!   result columns are split back to the submitters as typed
+//!   [`EngineOutput`]s. Because the tiled SpMM computes each output
+//!   column in exactly the SpMV reduction order (per-column
 //!   equivalence), the batched results are **bitwise identical** to
-//!   running every request alone.
-//! * **Admission control + stats** — bounded queue depth
+//!   running every request alone. The grouping lives in a queue-less
+//!   executor shared with every [`Service`] shard, so a request is queued
+//!   once — in the engine's own queue or in a service injector — and
+//!   never both.
+//! * **Admission control + stats** — bounded per-matrix queue depth
 //!   ([`EngineError::Overloaded`]), per-request deadlines
-//!   ([`EngineError::DeadlineExceeded`]), and an [`EngineStats`] snapshot
-//!   covering cache hit rate, batch-size histogram, pool reuse, simt
-//!   counters, and a per-phase ledger of everything the engine simulated.
+//!   ([`EngineError::DeadlineExceeded`]), typed operand-shape errors
+//!   ([`EngineError::Plan`]), and an [`EngineStats`] snapshot covering
+//!   cache hit rate, batch-size histogram, pool reuse, simt counters, and
+//!   a per-phase ledger of everything the engine simulated.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -77,6 +81,7 @@ mod batch;
 mod cache;
 mod chaos;
 mod error;
+mod exec;
 mod fingerprint;
 mod pool;
 mod service;
@@ -93,8 +98,7 @@ pub use service::{
 };
 pub use stats::{EngineStats, TenantCounters, TenantTable};
 
-use std::collections::{HashMap, VecDeque};
-use std::mem;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,7 +112,7 @@ use mps_core::{
 use mps_simt::{Device, Phase};
 use mps_sparse::{CsrMatrix, DenseBlock};
 
-use batch::{Batcher, QueueKey, Request, RequestPayload};
+use batch::{Op, Queue, QueueKey, Request};
 use cache::PlanCache;
 use chaos::ChaosState;
 use pool::WorkspacePool;
@@ -197,7 +201,7 @@ pub struct SubmitOptions {
     /// Relative deadline: a request still queued this long after
     /// submission resolves to [`EngineError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
-    /// Reserved: recorded but not yet consulted by the batcher. Present
+    /// Reserved: recorded but not yet consulted by the flush. Present
     /// so the builder surface is stable when priority-aware draining
     /// lands (higher is more urgent).
     pub priority: u8,
@@ -296,8 +300,9 @@ pub struct DeltaOutcome {
 pub struct EngineConfig {
     /// Plans kept live in the LRU cache.
     pub(crate) plan_capacity: usize,
-    /// Pending submissions allowed per fingerprint queue before
-    /// [`EngineError::Overloaded`].
+    /// Pending submissions allowed per matrix in a standalone engine's
+    /// queue before [`EngineError::Overloaded`]. Service shards never
+    /// consult it: their one admission limit is the tenant quota.
     pub(crate) max_queue_depth: usize,
     /// Output-column budget per coalesced traversal: a flushed group's
     /// payloads (one column per SpMV submission, `x.cols` per SpMM
@@ -364,8 +369,9 @@ impl EngineConfig {
         self.plan_capacity
     }
 
-    /// Pending submissions allowed per fingerprint queue before
-    /// [`EngineError::Overloaded`].
+    /// Pending submissions allowed per matrix in a standalone engine's
+    /// queue before [`EngineError::Overloaded`] (unused by [`Service`]
+    /// shards, whose admission limit is [`TenantSpec::max_pending`]).
     pub fn max_queue_depth(&self) -> usize {
         self.max_queue_depth
     }
@@ -463,8 +469,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Pending submissions allowed per matrix queue
-    /// ([`EngineConfig::max_queue_depth`]).
+    /// Pending submissions allowed per matrix in a standalone engine's
+    /// queue ([`EngineConfig::max_queue_depth`]).
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.cfg.max_queue_depth = n;
         self
@@ -526,7 +532,6 @@ impl EngineConfigBuilder {
 struct Inner {
     cache: PlanCache,
     pool: WorkspacePool,
-    batcher: Batcher,
     stats: EngineStats,
     /// Reusable operand/result blocks for batched flushes (capacity
     /// survives between batches). `scratch_x`/`scratch_x2` double-buffer
@@ -581,7 +586,11 @@ pub struct Engine {
     /// outside the engine mutex (it is internally synchronized) so
     /// concurrent submitters fingerprint without serializing on `inner`.
     fp: FingerprintCache,
+    /// Executor state: plan cache, workspace pool, stats, chaos stream.
     inner: Mutex<Inner>,
+    /// Requests submitted through [`Engine::submit_spmv`] and friends,
+    /// and their results. Locked before `inner` whenever both are held.
+    queue: Mutex<Queue>,
 }
 
 impl Engine {
@@ -606,7 +615,6 @@ impl Engine {
             inner: Mutex::new(Inner {
                 cache: PlanCache::new(cfg.plan_capacity),
                 pool: WorkspacePool::new(),
-                batcher: Batcher::new(),
                 stats: EngineStats::default(),
                 scratch_x: DenseBlock::zeros(0, 0),
                 scratch_x2: DenseBlock::zeros(0, 0),
@@ -615,6 +623,7 @@ impl Engine {
                 handles: HashMap::new(),
                 next_handle: 0,
             }),
+            queue: Mutex::new(Queue::default()),
             cfg,
         })
     }
@@ -800,54 +809,32 @@ impl Engine {
         result
     }
 
-    // ---- batched SpMV ---------------------------------------------------
+    // ---- batched submission ---------------------------------------------
 
     /// Queue an SpMV request on `a` for the next [`Engine::flush`].
     ///
-    /// Requests queue per matrix — the pattern fingerprint picks the
-    /// cached plan, but the queue additionally keys on the `Arc` identity
-    /// so two matrices sharing a sparsity pattern with different values
-    /// are never coalesced into one traversal.
+    /// Requests on one matrix coalesce at flush — the pattern fingerprint
+    /// picks the cached plan, and the `Arc` identity keeps two matrices
+    /// sharing a sparsity pattern with different values out of one
+    /// traversal.
     ///
     /// `opts` is anything convertible to [`SubmitOptions`]: the
     /// historical `deadline: Option<Duration>` third argument still
     /// works, and the builder adds tenant attribution (overload and
     /// deadline errors carry the tenant, and the request is counted in
-    /// the per-tenant ledger, [`EngineStats::tenants`]). A request still
-    /// queued when its deadline passes resolves to
+    /// the per-tenant ledger, [`EngineStats::tenants`]). A request whose
+    /// deadline has passed at flush resolves to
     /// [`EngineError::DeadlineExceeded`] instead of a result; submissions
-    /// beyond [`EngineConfig::max_queue_depth`] on one matrix's queue are
-    /// refused with [`EngineError::Overloaded`].
-    ///
-    /// # Panics
-    /// Panics if `x.len() != a.num_cols`.
+    /// beyond [`EngineConfig::max_queue_depth`] on one matrix are refused
+    /// with [`EngineError::Overloaded`], and an `x` whose length is not
+    /// `a.num_cols` with [`EngineError::Plan`].
     pub fn submit_spmv(
         &self,
         a: &Arc<CsrMatrix>,
         x: Vec<f64>,
         opts: impl Into<SubmitOptions>,
     ) -> Result<Ticket, EngineError> {
-        let opts = opts.into();
-        assert_eq!(x.len(), a.num_cols, "operand length mismatch");
-        self.submit_payload(a, RequestPayload::Vector(x), opts.deadline, opts.tenant)
-    }
-
-    /// Superseded spelling of tenant attribution; the tenant now rides
-    /// in [`SubmitOptions`].
-    #[deprecated(note = "use `submit_spmv` with `SubmitOptions::new().tenant(..)`")]
-    pub fn submit_spmv_for(
-        &self,
-        tenant: Option<TenantId>,
-        a: &Arc<CsrMatrix>,
-        x: Vec<f64>,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, EngineError> {
-        let opts = SubmitOptions {
-            tenant,
-            deadline,
-            ..SubmitOptions::default()
-        };
-        self.submit_spmv(a, x, opts)
+        self.submit(a, Op::Vector(x), opts.into())
     }
 
     /// Queue an SpMM request (dense multi-vector operand) on `a` for the
@@ -857,362 +844,133 @@ impl Engine {
     /// because each output column is computed in exactly the standalone
     /// reduction order, the grouping never changes the bits.
     ///
-    /// Options and backpressure semantics match [`Engine::submit_spmv`].
-    ///
-    /// # Panics
-    /// Panics if `x.rows != a.num_cols` or `x` has no columns.
+    /// Options and backpressure semantics match [`Engine::submit_spmv`];
+    /// `x` must have `a.num_cols` rows and at least one column.
     pub fn submit_spmm(
         &self,
         a: &Arc<CsrMatrix>,
         x: DenseBlock,
         opts: impl Into<SubmitOptions>,
     ) -> Result<Ticket, EngineError> {
-        let opts = opts.into();
-        assert_eq!(x.rows, a.num_cols, "operand row-count mismatch");
-        assert!(x.cols >= 1, "operand block must have at least one column");
-        self.submit_payload(a, RequestPayload::Block(x), opts.deadline, opts.tenant)
-    }
-
-    /// Superseded spelling of tenant attribution; the tenant now rides
-    /// in [`SubmitOptions`].
-    #[deprecated(note = "use `submit_spmm` with `SubmitOptions::new().tenant(..)`")]
-    pub fn submit_spmm_for(
-        &self,
-        tenant: Option<TenantId>,
-        a: &Arc<CsrMatrix>,
-        x: DenseBlock,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, EngineError> {
-        let opts = SubmitOptions {
-            tenant,
-            deadline,
-            ..SubmitOptions::default()
-        };
-        self.submit_spmm(a, x, opts)
-    }
-
-    fn submit_payload(
-        &self,
-        a: &Arc<CsrMatrix>,
-        payload: RequestPayload,
-        deadline: Option<Duration>,
-        tenant: Option<TenantId>,
-    ) -> Result<Ticket, EngineError> {
-        let fp = self.fp.get(a);
-        let mut inner = self.inner.lock();
-        if inner.chaos.roll(self.cfg.chaos.reject_submit_p) {
-            let queue_depth = inner.batcher.depth(QueueKey::of(fp, a));
-            inner.stats.chaos.forced_rejections += 1;
-            inner.stats.rejected_overload += 1;
-            if let Some(t) = tenant {
-                inner.stats.tenants.record_overload(t);
-            }
-            return Err(EngineError::Overloaded {
-                fingerprint: fp,
-                queue_depth,
-                limit: self.cfg.max_queue_depth,
-                tenant,
-            });
-        }
-        let deadline = deadline.map(|d| Instant::now() + d);
-        match inner
-            .batcher
-            .submit(fp, a, payload, deadline, self.cfg.max_queue_depth, tenant)
-        {
-            Ok(t) => Ok(t),
-            Err(e) => {
-                inner.stats.rejected_overload += 1;
-                if let Some(t) = tenant {
-                    inner.stats.tenants.record_overload(t);
-                }
-                Err(e)
-            }
-        }
+        self.submit(a, Op::Block(x), opts.into())
     }
 
     /// Queue an SpGEMM request `a · b` for the next [`Engine::flush`].
     ///
     /// Requests queue per `(A, B)` matrix pair — the pattern-fingerprint
-    /// pair picks the cached symbolic plan ([`PlanKey::Spgemm`]), and the
-    /// `Arc` identities keep same-pattern pairs with different values on
-    /// separate queues. In a repeated-pattern steady state (AMG-style
-    /// re-multiplication after value updates) every flush serves the
-    /// request as a numeric-only replay of the cached symbolic plan; the
-    /// result redeems as [`EngineOutput::Matrix`].
+    /// pair picks the cached symbolic plan ([`PlanKey::Spgemm`]). In a
+    /// repeated-pattern steady state (AMG-style re-multiplication after
+    /// value updates) every flush serves the request as a numeric-only
+    /// replay of the cached symbolic plan; the result redeems as
+    /// [`EngineOutput::Matrix`].
     ///
-    /// Options and backpressure semantics match [`Engine::submit_spmv`].
-    ///
-    /// # Panics
-    /// Panics if `a.num_cols != b.num_rows`.
+    /// Options and backpressure semantics match [`Engine::submit_spmv`];
+    /// `b` must have `a.num_cols` rows.
     pub fn submit_spgemm(
         &self,
         a: &Arc<CsrMatrix>,
         b: &Arc<CsrMatrix>,
         opts: impl Into<SubmitOptions>,
     ) -> Result<Ticket, EngineError> {
-        let opts = opts.into();
-        let (tenant, deadline) = (opts.tenant, opts.deadline);
-        assert_eq!(a.num_cols, b.num_rows, "inner dimension mismatch");
-        let fp_a = self.fp.get(a);
-        let fp_b = self.fp.get(b);
-        let mut inner = self.inner.lock();
-        if inner.chaos.roll(self.cfg.chaos.reject_submit_p) {
-            let queue_depth = inner
-                .batcher
-                .gemm_depth((QueueKey::of(fp_a, a), QueueKey::of(fp_b, b)));
-            inner.stats.chaos.forced_rejections += 1;
-            inner.stats.rejected_overload += 1;
-            if let Some(t) = tenant {
-                inner.stats.tenants.record_overload(t);
-            }
-            return Err(EngineError::Overloaded {
-                fingerprint: fp_a,
-                queue_depth,
-                limit: self.cfg.max_queue_depth,
-                tenant,
-            });
-        }
-        let deadline = deadline.map(|d| Instant::now() + d);
-        match inner.batcher.submit_gemm(
-            fp_a,
-            a,
-            fp_b,
-            b,
-            deadline,
-            self.cfg.max_queue_depth,
-            tenant,
-        ) {
-            Ok(t) => Ok(t),
-            Err(e) => {
-                inner.stats.rejected_overload += 1;
-                if let Some(t) = tenant {
-                    inner.stats.tenants.record_overload(t);
-                }
-                Err(e)
-            }
-        }
+        let op = Op::Gemm {
+            b: Arc::clone(b),
+            fp_b: self.fp.get(b),
+        };
+        self.submit(a, op, opts.into())
     }
 
-    /// Superseded spelling of tenant attribution; the tenant now rides
-    /// in [`SubmitOptions`].
-    #[deprecated(note = "use `submit_spgemm` with `SubmitOptions::new().tenant(..)`")]
-    pub fn submit_spgemm_for(
+    /// Admission for the standalone queue: the operand-shape check, the
+    /// forced-rejection draw, then the per-queue depth limit.
+    fn submit(
         &self,
-        tenant: Option<TenantId>,
         a: &Arc<CsrMatrix>,
-        b: &Arc<CsrMatrix>,
-        deadline: Option<Duration>,
+        op: Op,
+        opts: SubmitOptions,
     ) -> Result<Ticket, EngineError> {
-        let opts = SubmitOptions {
-            tenant,
-            deadline,
-            ..SubmitOptions::default()
-        };
-        self.submit_spgemm(a, b, opts)
+        let deadline = opts.deadline.map(|d| Instant::now() + d);
+        let req = Request::new(a, self.fp.get(a), op, deadline, opts.tenant)?;
+        let mut queue = self.queue.lock();
+        let depth = queue.depth(req.queue_key());
+        let limit = self.cfg.max_queue_depth;
+        let mut ex = self.executor();
+        ex.forced_reject(&req, depth, limit)?;
+        if depth >= limit {
+            return Err(ex.overloaded(&req, depth, limit));
+        }
+        Ok(queue.push(req))
     }
 
     /// Memoized pattern fingerprint of `a` (thread-safe; see
-    /// [`FingerprintCache`]). The [`Service`] routes submissions to
-    /// shards by this value.
+    /// [`FingerprintCache`]).
     pub fn fingerprint(&self, a: &Arc<CsrMatrix>) -> u64 {
         self.fp.get(a)
     }
 
     /// SpGEMM requests currently queued behind one `(A, B)` pair.
     pub fn spgemm_queue_depth(&self, a: &Arc<CsrMatrix>, b: &Arc<CsrMatrix>) -> usize {
-        let fp_a = self.fp.get(a);
-        let fp_b = self.fp.get(b);
-        self.inner
-            .lock()
-            .batcher
-            .gemm_depth((QueueKey::of(fp_a, a), QueueKey::of(fp_b, b)))
+        let key = (
+            QueueKey::of(self.fp.get(a), a),
+            Some(QueueKey::of(self.fp.get(b), b)),
+        );
+        self.queue.lock().depth(key)
     }
 
-    /// Requests currently queued (all fingerprints).
+    /// Requests currently queued (all matrices).
     pub fn pending_requests(&self) -> usize {
-        self.inner.lock().batcher.total_pending()
+        self.queue.lock().len()
     }
 
-    /// Requests currently queued behind one matrix.
+    /// SpMV/SpMM requests currently queued behind one matrix.
     pub fn queue_depth(&self, a: &Arc<CsrMatrix>) -> usize {
-        let fp = self.fp.get(a);
-        self.inner.lock().batcher.depth(QueueKey::of(fp, a))
+        let key = (QueueKey::of(self.fp.get(a), a), None);
+        self.queue.lock().depth(key)
     }
 
-    /// Drain every submission queue, coalescing same-matrix requests —
-    /// vectors and blocks alike — into single column-tiled SpMM
+    /// Resolve every queued request. Admission runs first, in submission
+    /// order: each deadline-carrying request takes its expiry check (the
+    /// clock, plus one [`ChaosConfig::deadline_expiry_p`] draw). The
+    /// admitted requests then go to the executor, which groups SpMV/SpMM
+    /// requests by matrix in first-seen order and coalesces each matrix's
+    /// requests — vectors and blocks alike — into column-tiled SpMM
     /// traversals of up to [`EngineConfig::max_batch`] output columns. A
-    /// single one-column request (a lone vector, or a degenerate
-    /// one-column block) dispatches straight through the cached SpMV plan
-    /// instead, so it never pays column-tiling overhead. Returns the
-    /// number of requests resolved — results and deadline expirations
-    /// both become redeemable via [`Engine::take_result`].
+    /// single one-column request dispatches straight through the cached
+    /// SpMV plan instead, so it never pays column-tiling overhead.
+    /// Groups are prepared in that order (the cache-storm draw at plan
+    /// lookup, the pool-exhaustion draw at workspace checkout), then run
+    /// through a one-stage software pipeline that assembles group *i+1*'s
+    /// operand while group *i* executes. SpGEMM requests run last, each a
+    /// numeric-only replay of the cached symbolic plan. Nothing in the
+    /// flush depends on hash order, so a `(seed, probabilities)` pair
+    /// replays the same fault stream and the same fates.
     ///
-    /// The flush runs in two phases. First every group is *prepared* in
-    /// queue order: deadline/chaos draws, plan-cache lookup, and
-    /// workspace checkout all happen here, so the seeded fault stream is
-    /// consumed in exactly the order the sequential flush consumed it.
-    /// Then the prepared groups execute through a one-stage software
-    /// pipeline: while group *i*'s (draw-free) numeric replay runs, group
-    /// *i+1*'s operand columns are interleaved into the spare scratch
-    /// block, hiding assembly cost behind execution.
-    ///
-    /// SpGEMM submissions ([`Engine::submit_spgemm`]) drain last, after
-    /// the SpMV/SpMM pipeline: each resolves as a numeric-only replay of
-    /// the cached symbolic plan (built and charged on first sight of the
-    /// pattern pair).
+    /// Returns the number of requests resolved — results and deadline
+    /// expirations both become redeemable via [`Engine::take_result`].
     pub fn flush(&self) -> usize {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+        let mut queue = self.queue.lock();
+        let mut ex = self.executor();
         let now = Instant::now();
-        let mut resolved = 0usize;
-        let mut prepared: Vec<PreparedGroup> = Vec::new();
-        let keys: Vec<QueueKey> = inner.batcher.queues.keys().copied().collect();
-        for key in keys {
-            loop {
-                let queue = inner
-                    .batcher
-                    .queues
-                    .get_mut(&key)
-                    .expect("queue present for listed key");
-                let matrix = Arc::clone(&queue.matrix);
-                let mut group: Vec<Request> = Vec::new();
-                let mut group_cols = 0usize;
-                let mut expired: Vec<(Ticket, Option<TenantId>)> = Vec::new();
-                while group_cols < self.cfg.max_batch {
-                    let (cols, req_deadline) = match queue.pending.front() {
-                        Some(r) => (r.payload.cols(), r.deadline),
-                        None => break,
-                    };
-                    // A deadline-carrying request expires naturally by the
-                    // clock, or forcibly under the chaos schedule (the
-                    // draw is consumed either way so the fault stream
-                    // replays independent of wall-clock timing).
-                    let forced = req_deadline.is_some()
-                        && inner.chaos.roll(self.cfg.chaos.deadline_expiry_p);
-                    if forced {
-                        inner.stats.chaos.forced_deadline_expiries += 1;
-                    }
-                    if req_deadline.is_some_and(|d| now >= d) || forced {
-                        let r = queue.pending.pop_front().expect("front exists");
-                        expired.push((r.ticket, r.tenant));
-                        continue;
-                    }
-                    // FIFO packing: stop at the first request that would
-                    // overflow the column budget (an oversized request is
-                    // still admitted when it is alone).
-                    if !group.is_empty() && group_cols + cols > self.cfg.max_batch {
-                        break;
-                    }
-                    let r = queue.pending.pop_front().expect("front exists");
-                    group_cols += cols;
-                    group.push(r);
+        let mut admitted = Vec::with_capacity(queue.len());
+        let mut expired = 0usize;
+        for req in queue.take_all() {
+            match ex.expire(&req, now) {
+                Ok(()) => admitted.push(req),
+                Err(e) => {
+                    queue.done.complete(req.ticket, Err(e));
+                    expired += 1;
                 }
-                for (t, tenant) in expired {
-                    inner.stats.rejected_deadline += 1;
-                    if let Some(tn) = tenant {
-                        inner.stats.tenants.record_deadline_miss(tn);
-                    }
-                    inner
-                        .batcher
-                        .complete(t, Err(EngineError::DeadlineExceeded { tenant }));
-                    resolved += 1;
-                }
-                if group.is_empty() {
-                    break;
-                }
-                resolved += group.len();
-                let g = prepare_group(
-                    &self.device,
-                    &self.cfg,
-                    inner,
-                    key.fingerprint,
-                    &matrix,
-                    group,
-                );
-                prepared.push(g);
             }
         }
-        execute_pipelined(inner, prepared);
-        inner.batcher.queues.retain(|_, q| !q.pending.is_empty());
-        // SpGEMM queues drain after the SpMV/SpMM pipeline, one numeric
-        // replay per request against the cached symbolic plan. Chaos draws
-        // (cache storm at lookup, forced expiry per deadline-carrying
-        // request) are consumed here only when SpGEMM work is actually
-        // queued, so the fault stream of pure SpMV/SpMM workloads replays
-        // unchanged.
-        let gemm_keys: Vec<(QueueKey, QueueKey)> =
-            inner.batcher.gemm_queues.keys().copied().collect();
-        for key in gemm_keys {
-            let (a, b) = {
-                let q = &inner.batcher.gemm_queues[&key];
-                (Arc::clone(&q.a), Arc::clone(&q.b))
-            };
-            while let Some(req) = inner
-                .batcher
-                .gemm_queues
-                .get_mut(&key)
-                .and_then(|q| q.pending.pop_front())
-            {
-                let forced =
-                    req.deadline.is_some() && inner.chaos.roll(self.cfg.chaos.deadline_expiry_p);
-                if forced {
-                    inner.stats.chaos.forced_deadline_expiries += 1;
-                }
-                if req.deadline.is_some_and(|d| now >= d) || forced {
-                    inner.stats.rejected_deadline += 1;
-                    if let Some(tn) = req.tenant {
-                        inner.stats.tenants.record_deadline_miss(tn);
-                    }
-                    inner.batcher.complete(
-                        req.ticket,
-                        Err(EngineError::DeadlineExceeded { tenant: req.tenant }),
-                    );
-                    resolved += 1;
-                    continue;
-                }
-                let hits_before = inner.stats.cache_hits;
-                let plan = spgemm_plan_locked(
-                    &self.device,
-                    &self.cfg,
-                    inner,
-                    key.0.fingerprint,
-                    key.1.fingerprint,
-                    &a,
-                    &b,
-                );
-                let t0 = Instant::now();
-                let c = plan.execute_matrix(&a, &b);
-                inner.stats.requests += 1;
-                if let Some(tn) = req.tenant {
-                    let hit = inner.stats.cache_hits > hits_before;
-                    inner.stats.tenants.record_request(tn, hit);
-                }
-                charge_spgemm_exec(&mut inner.stats, &plan, t0.elapsed());
-                inner
-                    .batcher
-                    .complete(req.ticket, Ok(EngineOutput::Matrix(c)));
-                resolved += 1;
-            }
-            inner.batcher.gemm_queues.remove(&key);
-        }
-        inner.stats.results_evicted += inner.batcher.evict_stale(self.cfg.result_ttl_flushes);
-        resolved
+        expired + ex.run(admitted, &mut queue.done)
     }
 
-    /// Redeem a ticket issued by [`Engine::submit_spmv`] or
-    /// [`Engine::submit_spmm`]. Each ticket is redeemable once, after the
-    /// flush that resolved it; a ticket still waiting for a flush returns
-    /// [`EngineError::NotReady`]. The output variant matches the
-    /// submission kind: vectors redeem as [`EngineOutput::Vector`],
-    /// blocks as [`EngineOutput::Block`].
+    /// Redeem a ticket issued by one of the `submit_*` methods. Each
+    /// ticket is redeemable once, after the flush that resolved it; a
+    /// ticket still waiting for a flush returns [`EngineError::NotReady`].
+    /// The output variant matches the submission kind: vectors redeem as
+    /// [`EngineOutput::Vector`], blocks as [`EngineOutput::Block`],
+    /// SpGEMM products as [`EngineOutput::Matrix`].
     pub fn take_result(&self, ticket: Ticket) -> Result<EngineOutput, EngineError> {
-        let mut inner = self.inner.lock();
-        match inner.batcher.take_completed(ticket) {
-            Some(result) => result,
-            None if inner.batcher.is_pending(ticket) => Err(EngineError::NotReady(ticket.0)),
-            None => Err(EngineError::UnknownTicket(ticket.0)),
-        }
+        self.queue.lock().redeem(ticket.0)
     }
 
     // ---- registered matrices & streaming mutation -----------------------
@@ -1543,201 +1301,6 @@ fn spmm_plan_locked(
     .expect_spmm()
 }
 
-/// A flushed group with every admission decision already made: chaos
-/// draws consumed, plan resolved from the cache, workspace checked out.
-/// What remains — operand assembly and the numeric replay — is draw-free,
-/// which is what lets [`execute_pipelined`] overlap groups without
-/// perturbing the seeded fault stream.
-enum PreparedExec {
-    /// A single one-column request (lone vector, or a degenerate
-    /// one-column block) dispatched straight through the cached
-    /// [`SpmvPlan`]: a k=1 "SpMM" never pays column-tiling overhead, and
-    /// by PR 2's per-column equivalence the bits are identical.
-    /// `as_block` records the submission kind for the output variant.
-    Spmv {
-        plan: Arc<SpmvPlan>,
-        ticket: Ticket,
-        x: Vec<f64>,
-        as_block: bool,
-    },
-    /// A coalesced group executing as one column-tiled SpMM traversal.
-    Spmm {
-        plan: Arc<SpmmPlan>,
-        group: Vec<Request>,
-        k: usize,
-    },
-}
-
-struct PreparedGroup {
-    matrix: Arc<CsrMatrix>,
-    ws: Workspace,
-    exec: PreparedExec,
-}
-
-/// Admit one flushed group: consume its chaos draws (cache storm at plan
-/// lookup, pool exhaustion at checkout — in exactly the sequential flush
-/// order), resolve the plan, and check out a workspace.
-fn prepare_group(
-    device: &Device,
-    cfg: &EngineConfig,
-    inner: &mut Inner,
-    fp: u64,
-    matrix: &Arc<CsrMatrix>,
-    group: Vec<Request>,
-) -> PreparedGroup {
-    inner.stats.record_batch(group.len());
-    inner.stats.requests += group.len() as u64;
-    let tenants: Vec<TenantId> = group.iter().filter_map(|r| r.tenant).collect();
-    let hits_before = inner.stats.cache_hits;
-    let exec = if group.len() == 1 && group[0].payload.cols() == 1 {
-        let plan = spmv_plan_locked(device, cfg, inner, fp, matrix);
-        let req = group.into_iter().next().expect("group of one");
-        let (x, as_block) = match req.payload {
-            RequestPayload::Vector(x) => (x, false),
-            RequestPayload::Block(b) => (b.column(0), true),
-        };
-        PreparedExec::Spmv {
-            plan,
-            ticket: req.ticket,
-            x,
-            as_block,
-        }
-    } else {
-        let k: usize = group.iter().map(|r| r.payload.cols()).sum();
-        let plan = spmm_plan_locked(device, cfg, inner, fp, matrix, k);
-        PreparedExec::Spmm { plan, group, k }
-    };
-    // One plan lookup served the whole group; every tenant-tagged request
-    // in it shares that lookup's hit/miss outcome.
-    let hit = inner.stats.cache_hits > hits_before;
-    for t in tenants {
-        inner.stats.tenants.record_request(t, hit);
-    }
-    let ws = inner.checkout_ws(&cfg.chaos);
-    PreparedGroup {
-        matrix: Arc::clone(matrix),
-        ws,
-        exec,
-    }
-}
-
-/// Interleave an SpMM group's payloads — vector payloads as single
-/// columns, block payloads as row-major column runs — into `buf`. A
-/// no-op for SpMV groups (they read their operand vector directly).
-fn assemble_operand(g: &PreparedGroup, buf: &mut DenseBlock) {
-    let PreparedExec::Spmm { group, k, .. } = &g.exec else {
-        return;
-    };
-    let k = *k;
-    buf.reset(g.matrix.num_cols, k);
-    let mut c = 0usize;
-    for req in group {
-        match &req.payload {
-            RequestPayload::Vector(x) => {
-                buf.set_column(c, x);
-                c += 1;
-            }
-            RequestPayload::Block(b) => {
-                for r in 0..b.rows {
-                    let src = &b.data[r * b.cols..(r + 1) * b.cols];
-                    buf.data[r * k + c..r * k + c + b.cols].copy_from_slice(src);
-                }
-                c += b.cols;
-            }
-        }
-    }
-}
-
-/// Run the prepared groups through a one-stage software pipeline: while
-/// group *i*'s numeric replay executes, group *i+1*'s operand columns are
-/// assembled into the spare scratch block on the worker pool
-/// ([`rayon::join`]), then the buffers swap roles. Execution order — and
-/// therefore every output bit — matches the sequential flush exactly;
-/// only the assembly cost moves off the critical path. The scratch
-/// blocks double-buffer through [`Inner`] so steady-state flushes stay
-/// zero-alloc.
-fn execute_pipelined(inner: &mut Inner, prepared: Vec<PreparedGroup>) {
-    if prepared.is_empty() {
-        return;
-    }
-    let mut cur_x = mem::replace(&mut inner.scratch_x, DenseBlock::zeros(0, 0));
-    let mut next_x = mem::replace(&mut inner.scratch_x2, DenseBlock::zeros(0, 0));
-    let mut y_blk = mem::replace(&mut inner.scratch_y, DenseBlock::zeros(0, 0));
-    let mut queue: VecDeque<PreparedGroup> = prepared.into();
-    if let Some(front) = queue.front() {
-        assemble_operand(front, &mut cur_x);
-    }
-    while let Some(mut g) = queue.pop_front() {
-        let next = queue.front();
-        let matrix = &g.matrix;
-        let ws = &mut g.ws;
-        let exec = &g.exec;
-        let ((ms, spmv_y), ()) = rayon::join(
-            || match exec {
-                PreparedExec::Spmv { plan, x, .. } => {
-                    let mut y = Vec::new();
-                    let ms = plan.execute_into(matrix, x, &mut y, ws);
-                    (ms, Some(y))
-                }
-                PreparedExec::Spmm { plan, .. } => {
-                    let ms = plan.execute_into(matrix, &cur_x, &mut y_blk, ws);
-                    (ms, None)
-                }
-            },
-            || {
-                if let Some(n) = next {
-                    assemble_operand(n, &mut next_x);
-                }
-            },
-        );
-        inner.pool.give_back(g.ws);
-        inner.stats.exec_sim_ms += ms;
-        match g.exec {
-            PreparedExec::Spmv {
-                plan,
-                ticket,
-                as_block,
-                ..
-            } => {
-                charge_spmv_exec(&mut inner.stats, &plan);
-                let y = spmv_y.expect("SpMV dispatch produced a vector");
-                let out = if as_block {
-                    EngineOutput::Block(DenseBlock {
-                        rows: y.len(),
-                        cols: 1,
-                        data: y,
-                    })
-                } else {
-                    EngineOutput::Vector(y)
-                };
-                inner.batcher.complete(ticket, Ok(out));
-            }
-            PreparedExec::Spmm { plan, group, .. } => {
-                charge_spmm_exec(&mut inner.stats, &plan);
-                let mut c = 0usize;
-                for req in group {
-                    let w = req.payload.cols();
-                    let out = match req.payload {
-                        RequestPayload::Vector(_) => EngineOutput::Vector(y_blk.column(c)),
-                        RequestPayload::Block(_) => {
-                            let y = &y_blk;
-                            EngineOutput::Block(DenseBlock::from_fn(y.rows, w, |r, j| {
-                                y.get(r, c + j)
-                            }))
-                        }
-                    };
-                    inner.batcher.complete(req.ticket, Ok(out));
-                    c += w;
-                }
-            }
-        }
-        mem::swap(&mut cur_x, &mut next_x);
-    }
-    inner.scratch_x = cur_x;
-    inner.scratch_x2 = next_x;
-    inner.scratch_y = y_blk;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1848,6 +1411,23 @@ mod tests {
             }) => assert_eq!((queue_depth, limit), (2, 2)),
             other => panic!("expected Overloaded, got {other:?}"),
         }
+        assert_eq!(e.stats().rejected_overload, 1);
+        // Operands that do not fit the matrix are a typed error, not a
+        // panic, and never reach the queue.
+        let short = e.submit_spmv(&a, vec![1.0; a.num_cols - 1], None);
+        assert!(
+            matches!(
+                short,
+                Err(EngineError::Plan(PlanError::ShapeMismatch { .. }))
+            ),
+            "{short:?}"
+        );
+        let empty = e.submit_spmm(&a, DenseBlock::zeros(a.num_cols, 0), None);
+        assert!(matches!(empty, Err(EngineError::Plan(_))), "{empty:?}");
+        let b = Arc::new(gen::random_uniform(a.num_cols + 1, 4, 2.0, 1.0, 5));
+        let inner = e.submit_spgemm(&a, &b, None);
+        assert!(matches!(inner, Err(EngineError::Plan(_))), "{inner:?}");
+        assert_eq!(e.pending_requests(), 2);
         assert_eq!(e.stats().rejected_overload, 1);
         // Flushing drains the queue and readmits.
         e.flush();
@@ -2410,20 +1990,6 @@ mod tests {
         let misses = e.stats().cache_misses;
         e.spmv(&got, &operand(a.num_cols, 1));
         assert_eq!(e.stats().cache_misses, misses);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_for_variants_delegate_to_the_unified_surface() {
-        let e = Engine::new(&device());
-        let a = matrix();
-        let tn = TenantId(7);
-        let t = e
-            .submit_spmv_for(Some(tn), &a, operand(a.num_cols, 1), None)
-            .expect("admitted");
-        e.flush();
-        e.take_result(t).expect("completed");
-        assert_eq!(e.stats().tenants.get(tn).requests, 1);
     }
 
     #[test]

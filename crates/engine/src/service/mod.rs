@@ -4,11 +4,12 @@
 //! module scales it across threads and tenants:
 //!
 //! * **Shards** — N independent engines, each with its own plan cache,
-//!   workspace pool, batcher, and chaos stream (seeds derived per shard,
-//!   so fault schedules stay replayable). A submission routes to the
-//!   shard owning its matrix's pattern fingerprint, so one pattern's
-//!   plans are built exactly once service-wide and same-pattern requests
-//!   keep coalescing into shared traversals.
+//!   workspace pool, and chaos stream (seeds derived per shard, so fault
+//!   schedules stay replayable), used as queue-less executors. A
+//!   submission routes to the shard owning its matrix's pattern
+//!   fingerprint, so one pattern's plans are built exactly once
+//!   service-wide and same-pattern requests keep coalescing into shared
+//!   traversals.
 //! * **Thread-safe submission** — `submit_*` methods take `&self` and
 //!   touch only the target shard's injector mutex (fingerprints come from
 //!   the lock-free-read [`FingerprintCache`]), so submitters on different
@@ -17,13 +18,17 @@
 //!   ([`EngineError::Overloaded`] with tenant attribution) and
 //!   deficit-round-robin draining under overload: each flush spends a
 //!   bounded drain budget across backlogged tenants in proportion to
-//!   their [`TenantSpec::weight`].
+//!   their [`TenantSpec::weight`]. The quota is the only queue limit a
+//!   service request meets: once `submit_*` returns `Ok`, the request
+//!   waits in its shard's injector and nowhere else.
 //! * **Concurrent flush** — [`Service::flush`] drains ready shards in
-//!   parallel on the persistent worker pool. Each shard's drain is the
-//!   sequential engine path (DRR select → tenant-tagged submit → engine
-//!   flush → harvest), so every result is bitwise identical to the
-//!   single-threaded engine serving the same requests, and chaos draws
-//!   are consumed in deterministic per-shard order.
+//!   parallel on the persistent worker pool. Each shard's drain DRR-selects
+//!   requests, admits each once (expiry check and forced-rejection draw on
+//!   the shard's chaos stream), and hands the admitted ones straight to the
+//!   shard engine's executor — the same executor [`Engine::flush`] uses —
+//!   so every result is bitwise identical to the single-threaded engine
+//!   serving the same requests, and chaos draws are consumed in
+//!   deterministic per-shard order.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -58,12 +63,12 @@ use mps_core::{CsrDelta, PlanError};
 use mps_simt::Device;
 use mps_sparse::{CsrMatrix, DenseBlock};
 
-use crate::batch::Ticket;
+use crate::batch::{Op, Request};
 use crate::error::{EngineError, TenantId};
 use crate::fingerprint::FingerprintCache;
-use crate::{DeltaOutcome, Engine, EngineConfig, EngineOutput, MatrixHandle, SubmitOptions};
+use crate::{DeltaOutcome, Engine, EngineConfig, EngineOutput, MatrixHandle};
 
-use qos::{DrainAction, ServiceOp, ServiceRequest, ShardState};
+use qos::ShardState;
 
 /// Shards are packed into the low bits of a [`ServiceTicket`].
 const SHARD_BITS: u32 = 16;
@@ -134,7 +139,7 @@ impl ServiceConfig {
         &self.engine
     }
 
-    /// Requests one flush admits to each shard's engine before the rest
+    /// Requests one flush admits to each shard's executor before the rest
     /// of the backlog waits for the next flush.
     pub fn drain_budget(&self) -> usize {
         self.drain_budget
@@ -253,8 +258,8 @@ struct Shard {
 pub struct Service {
     cfg: ServiceConfig,
     shards: Vec<Shard>,
-    /// Shared fingerprint memo for routing (each shard engine keeps its
-    /// own for plan keying).
+    /// Fingerprint memo for routing and plan keying; requests carry the
+    /// memoized value to the shard executors.
     fp: FingerprintCache,
     /// Tenant-scoped handles to registered matrices, mutable through
     /// [`Service::submit_update`] / [`Service::submit_delta`]. The
@@ -295,7 +300,7 @@ impl Service {
                     .wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 Ok(Shard {
                     engine: Engine::try_with_config(device, ec)?,
-                    state: Mutex::new(ShardState::new()),
+                    state: Mutex::new(ShardState::default()),
                 })
             })
             .collect::<Result<Vec<_>, EngineError>>()?;
@@ -328,21 +333,19 @@ impl Service {
         &self.shards[shard].engine
     }
 
-    /// Requests waiting across all shard injectors and engine queues.
+    /// Requests waiting across all shard injectors.
     pub fn pending_requests(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.state.lock().total_pending() + s.engine.pending_requests())
+            .map(|s| s.state.lock().total_pending())
             .sum()
     }
 
     /// Queue an SpMV request for `tenant`. Routed to the shard owning
     /// `a`'s pattern fingerprint; refused with a tenant-attributed
     /// [`EngineError::Overloaded`] when the tenant's pending quota on
-    /// that shard ([`TenantSpec::max_pending`]) is full.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != a.num_cols`.
+    /// that shard ([`TenantSpec::max_pending`]) is full, and with
+    /// [`EngineError::Plan`] when `x.len() != a.num_cols`.
     pub fn submit_spmv(
         &self,
         tenant: TenantId,
@@ -350,24 +353,12 @@ impl Service {
         x: Vec<f64>,
         deadline: Option<Duration>,
     ) -> Result<ServiceTicket, EngineError> {
-        assert_eq!(x.len(), a.num_cols, "operand length mismatch");
-        let fp = self.fp.get(a);
-        self.submit_op(
-            tenant,
-            fp,
-            ServiceOp::Spmv {
-                a: Arc::clone(a),
-                x,
-            },
-            deadline,
-        )
+        self.submit(tenant, a, Op::Vector(x), deadline)
     }
 
     /// Queue an SpMM request (dense multi-vector operand) for `tenant`.
-    /// Semantics match [`Service::submit_spmv`].
-    ///
-    /// # Panics
-    /// Panics if `x.rows != a.num_cols` or `x` has no columns.
+    /// Semantics match [`Service::submit_spmv`]; `x` must have
+    /// `a.num_cols` rows and at least one column.
     pub fn submit_spmm(
         &self,
         tenant: TenantId,
@@ -375,25 +366,12 @@ impl Service {
         x: DenseBlock,
         deadline: Option<Duration>,
     ) -> Result<ServiceTicket, EngineError> {
-        assert_eq!(x.rows, a.num_cols, "operand row-count mismatch");
-        assert!(x.cols >= 1, "operand block must have at least one column");
-        let fp = self.fp.get(a);
-        self.submit_op(
-            tenant,
-            fp,
-            ServiceOp::Spmm {
-                a: Arc::clone(a),
-                x,
-            },
-            deadline,
-        )
+        self.submit(tenant, a, Op::Block(x), deadline)
     }
 
     /// Queue an SpGEMM request `a · b` for `tenant`, routed by `a`'s
-    /// pattern fingerprint. Semantics match [`Service::submit_spmv`].
-    ///
-    /// # Panics
-    /// Panics if `a.num_cols != b.num_rows`.
+    /// pattern fingerprint. Semantics match [`Service::submit_spmv`]; `b`
+    /// must have `a.num_cols` rows.
     pub fn submit_spgemm(
         &self,
         tenant: TenantId,
@@ -401,17 +379,11 @@ impl Service {
         b: &Arc<CsrMatrix>,
         deadline: Option<Duration>,
     ) -> Result<ServiceTicket, EngineError> {
-        assert_eq!(a.num_cols, b.num_rows, "inner dimension mismatch");
-        let fp = self.fp.get(a);
-        self.submit_op(
-            tenant,
-            fp,
-            ServiceOp::Spgemm {
-                a: Arc::clone(a),
-                b: Arc::clone(b),
-            },
-            deadline,
-        )
+        let op = Op::Gemm {
+            b: Arc::clone(b),
+            fp_b: self.fp.get(b),
+        };
+        self.submit(tenant, a, op, deadline)
     }
 
     /// Register `a` for in-place mutation on behalf of `tenant` and get
@@ -500,13 +472,19 @@ impl Service {
         Ok(outcome)
     }
 
-    fn submit_op(
+    /// The service's one admission site: the operand-shape check, then
+    /// the tenant's quota on the owning shard. A request admitted here is
+    /// never refused for queue depth later.
+    fn submit(
         &self,
         tenant: TenantId,
-        fp: u64,
-        op: ServiceOp,
+        a: &Arc<CsrMatrix>,
+        op: Op,
         deadline: Option<Duration>,
     ) -> Result<ServiceTicket, EngineError> {
+        let deadline = deadline.map(|d| Instant::now() + d);
+        let fp = self.fp.get(a);
+        let mut req = Request::new(a, fp, op, deadline, Some(tenant))?;
         let shard_idx = self.shard_of(fp);
         let spec = self.cfg.spec(tenant);
         let mut st = self.shards[shard_idx].state.lock();
@@ -522,20 +500,14 @@ impl Service {
         }
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let ticket = ServiceTicket::new(seq, shard_idx);
-        st.push(
-            tenant,
-            ServiceRequest {
-                ticket,
-                op,
-                deadline: deadline.map(|d| Instant::now() + d),
-            },
-        );
+        req.ticket = ticket.raw();
+        st.push(tenant, req);
         Ok(ticket)
     }
 
     /// Drain every shard — concurrently on the worker pool when it has
     /// threads — and resolve the admitted requests. Returns the number of
-    /// requests resolved (results, deadline expiries, and engine
+    /// requests resolved (results, deadline expiries, and forced
     /// rejections all become redeemable via [`Service::take_result`]).
     pub fn flush(&self) -> usize {
         self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -552,16 +524,19 @@ impl Service {
     }
 
     /// Drain one shard: DRR-select up to [`ServiceConfig::drain_budget`]
-    /// requests across backlogged tenants (weighted by spec), hand them
-    /// to the shard engine tenant-tagged, flush it once, and harvest the
-    /// results into the shard's completion store.
+    /// requests across backlogged tenants (weighted by spec), admit each
+    /// once — the expiry check, then the forced-rejection draw — and hand
+    /// the admitted requests straight to the shard engine's executor,
+    /// which resolves them into the shard's completion store. Expired
+    /// requests cost neither credit nor budget.
     fn drain_shard(&self, idx: usize) -> usize {
         let shard = &self.shards[idx];
         let mut st = shard.state.lock();
+        let mut ex = shard.engine.executor();
         let now = Instant::now();
         let mut budget = self.cfg.drain_budget;
-        let mut submitted: Vec<(ServiceTicket, TenantId, Ticket)> = Vec::new();
-        let mut resolved = 0usize;
+        let mut admitted: Vec<Request> = Vec::new();
+        let mut refused = 0usize;
         let tenant_ids = st.tenant_ids();
         loop {
             let mut progressed = false;
@@ -569,48 +544,29 @@ impl Service {
                 if budget == 0 {
                     break;
                 }
-                let credit =
-                    u64::from(self.cfg.spec(tn).weight) * u64::from(self.cfg.drain_quantum);
+                let spec = self.cfg.spec(tn);
+                let credit = u64::from(spec.weight) * u64::from(self.cfg.drain_quantum);
                 if !st.refill(tn, credit) {
                     continue;
                 }
                 while budget > 0 {
-                    match st.pop_action(tn, now) {
-                        None => break,
-                        Some(DrainAction::Expire(req)) => {
-                            st.ledger.record_deadline_miss(tn);
-                            st.complete(
-                                req.ticket,
-                                Err(EngineError::DeadlineExceeded { tenant: Some(tn) }),
-                            );
-                            resolved += 1;
-                            progressed = true;
-                        }
-                        Some(DrainAction::Submit(req)) => {
+                    let Some(req) = st.pop(tn) else {
+                        break;
+                    };
+                    progressed = true;
+                    let admission = match ex.expire(&req, now) {
+                        Err(e) => Err(e),
+                        Ok(()) => {
+                            st.spend(tn);
                             budget -= 1;
-                            progressed = true;
-                            let opts = SubmitOptions {
-                                tenant: Some(tn),
-                                deadline: req.deadline.map(|d| d.saturating_duration_since(now)),
-                                ..SubmitOptions::default()
-                            };
-                            let admitted = match req.op {
-                                ServiceOp::Spmv { a, x } => shard.engine.submit_spmv(&a, x, opts),
-                                ServiceOp::Spmm { a, x } => shard.engine.submit_spmm(&a, x, opts),
-                                ServiceOp::Spgemm { a, b } => {
-                                    shard.engine.submit_spgemm(&a, &b, opts)
-                                }
-                            };
-                            match admitted {
-                                Ok(t) => submitted.push((req.ticket, tn, t)),
-                                Err(e) => {
-                                    // Engine-side rejection (queue depth or
-                                    // chaos): already tenant-attributed in
-                                    // the engine ledger; propagate.
-                                    st.complete(req.ticket, Err(e));
-                                    resolved += 1;
-                                }
-                            }
+                            ex.forced_reject(&req, st.pending_for(tn), spec.max_pending)
+                        }
+                    };
+                    match admission {
+                        Ok(()) => admitted.push(req),
+                        Err(e) => {
+                            st.done.complete(req.ticket, Err(e));
+                            refused += 1;
                         }
                     }
                 }
@@ -619,16 +575,9 @@ impl Service {
                 break;
             }
         }
-        st.drained += submitted.len() as u64;
-        if !submitted.is_empty() {
-            shard.engine.flush();
-        }
-        for (ticket, _tn, engine_ticket) in submitted {
-            st.complete(ticket, shard.engine.take_result(engine_ticket));
-            resolved += 1;
-        }
-        st.end_flush(self.cfg.engine.result_ttl_flushes);
-        resolved
+        st.drained += admitted.len() as u64;
+        st.prune();
+        refused + ex.run(admitted, &mut st.done)
     }
 
     /// Redeem a service ticket. Each ticket is redeemable once, after the
@@ -639,16 +588,11 @@ impl Service {
             .shards
             .get(ticket.shard())
             .ok_or(EngineError::UnknownTicket(ticket.raw()))?;
-        let mut st = shard.state.lock();
-        match st.take_completed(ticket) {
-            Some(result) => result,
-            None if st.is_pending(ticket) => Err(EngineError::NotReady(ticket.raw())),
-            None => Err(EngineError::UnknownTicket(ticket.raw())),
-        }
+        shard.state.lock().redeem(ticket.raw())
     }
 
     /// Snapshot of the aggregated serving telemetry (per-shard engine
-    /// stats plus the service-level QoS ledger).
+    /// stats plus the service-level quota ledger).
     pub fn stats(&self) -> ServiceStats {
         let mut out = ServiceStats {
             flushes: self.flushes.load(Ordering::Relaxed),
@@ -748,6 +692,17 @@ mod tests {
         // Another tenant is unaffected by tenant 7's full quota.
         svc.submit_spmv(TenantId(8), &a, x, None)
             .expect("separate quota");
+        // A wrong-length operand is a typed error, not a panic, and never
+        // reaches the injector.
+        let err = svc
+            .submit_spmv(TenantId(8), &a, vec![0.0; a.num_cols + 1], None)
+            .expect_err("wrong length");
+        assert!(
+            matches!(err, EngineError::Plan(PlanError::ShapeMismatch { .. })),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("operand rejected"), "{err}");
+        assert_eq!(svc.pending_requests(), 3);
         assert_eq!(svc.stats().quota_rejections(), 1);
         svc.flush();
         assert_eq!(svc.pending_requests(), 0);
@@ -813,8 +768,11 @@ mod tests {
             Err(EngineError::UnknownTicket(t.raw())),
             "redeemable once"
         );
+        // Drain-time expiries are counted by the shard engine, which
+        // drew for them; the service ledger holds quota rejections only.
         let s = svc.stats();
-        assert_eq!(s.service_tenants.get(tn).deadline_misses, 1);
+        assert_eq!(s.aggregate().tenants.get(tn).deadline_misses, 1);
+        assert_eq!(s.service_tenants.get(tn).deadline_misses, 0);
         assert!(s.render().contains("tenant#3"), "{}", s.render());
     }
 

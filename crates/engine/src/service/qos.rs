@@ -1,28 +1,22 @@
 //! Per-shard injector queues and deficit-round-robin credit mechanics.
 //!
 //! Each shard holds one [`ShardState`]: a per-tenant FIFO of requests not
-//! yet handed to the shard's engine, a completion store for resolved
-//! service tickets, and a service-level [`TenantTable`] ledger recording
-//! the QoS events the engine never sees (quota rejections at submit,
-//! deadlines that expire while still in the injector).
+//! yet drained — the only queue a service request ever waits in — the
+//! completion store for resolved service tickets, and a service-level
+//! [`TenantTable`] ledger of quota rejections at submit.
 //!
 //! Draining uses deficit round-robin: every round each backlogged tenant
 //! earns `weight × quantum` credits, and one credit admits one request to
-//! the engine. Under overload (drain budget smaller than the backlog)
-//! completed-request shares therefore converge to quota-weight shares,
-//! which is the fairness property `tests/service_serving.rs` pins.
+//! the shard's executor. Under overload (drain budget smaller than the
+//! backlog) completed-request shares therefore converge to quota-weight
+//! shares, which is the fairness property `tests/service_serving.rs` pins.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
-use std::time::Instant;
+use std::collections::{BTreeMap, VecDeque};
 
-use mps_sparse::{CsrMatrix, DenseBlock};
-
+use crate::batch::{Completions, Request};
 use crate::error::{EngineError, TenantId};
 use crate::stats::TenantTable;
 use crate::EngineOutput;
-
-use super::ServiceTicket;
 
 /// Per-tenant QoS parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +26,8 @@ pub struct TenantSpec {
     pub weight: u32,
     /// Requests the tenant may have waiting in one shard's injector;
     /// submissions beyond it are refused with
-    /// [`EngineError::Overloaded`] carrying the tenant.
+    /// [`crate::EngineError::Overloaded`] carrying the tenant. A request
+    /// admitted within the quota is never refused for queue depth later.
     pub max_pending: usize,
 }
 
@@ -54,72 +49,29 @@ impl Default for TenantSpec {
     }
 }
 
-/// What a queued service request wants computed.
-pub(crate) enum ServiceOp {
-    Spmv {
-        a: Arc<CsrMatrix>,
-        x: Vec<f64>,
-    },
-    Spmm {
-        a: Arc<CsrMatrix>,
-        x: DenseBlock,
-    },
-    Spgemm {
-        a: Arc<CsrMatrix>,
-        b: Arc<CsrMatrix>,
-    },
-}
-
-pub(crate) struct ServiceRequest {
-    pub ticket: ServiceTicket,
-    pub op: ServiceOp,
-    /// Absolute expiry; `None` means no deadline.
-    pub deadline: Option<Instant>,
-}
-
 struct TenantQueue {
-    pending: VecDeque<ServiceRequest>,
+    pending: VecDeque<Request>,
     /// Unspent DRR credits. Reset when the queue empties (a tenant cannot
     /// bank credit while idle).
     deficit: u64,
 }
 
-/// What the drain loop should do with one tenant's front request.
-pub(crate) enum DrainAction {
-    /// The deadline passed while the request sat in the injector.
-    Expire(ServiceRequest),
-    /// Spend one credit and hand the request to the engine.
-    Submit(ServiceRequest),
-}
-
 /// Everything one shard guards behind its injector mutex.
+#[derive(Default)]
 pub(crate) struct ShardState {
     tenants: BTreeMap<TenantId, TenantQueue>,
-    completed: HashMap<ServiceTicket, (u64, Result<EngineOutput, EngineError>)>,
-    /// Service-level QoS events (quota rejections, injector-expired
-    /// deadlines). Engine-level events live in the engine's own ledger;
-    /// [`super::ServiceStats`] merges both.
+    /// Resolved service tickets, redeemable until aged out.
+    pub done: Completions,
+    /// Quota rejections at submit. Every drain-time outcome is counted
+    /// by the shard engine's stats; [`super::ServiceStats`] merges both.
     pub ledger: TenantTable,
     /// Requests accepted into this shard's injector.
     pub injected: u64,
-    /// Requests handed to the engine by drains.
+    /// Requests the drains handed to the shard's executor.
     pub drained: u64,
-    /// Completed drains; the age unit for completion-store eviction.
-    epoch: u64,
 }
 
 impl ShardState {
-    pub fn new() -> ShardState {
-        ShardState {
-            tenants: BTreeMap::new(),
-            completed: HashMap::new(),
-            ledger: TenantTable::default(),
-            injected: 0,
-            drained: 0,
-            epoch: 0,
-        }
-    }
-
     /// Requests `tenant` has waiting in this injector.
     pub fn pending_for(&self, tenant: TenantId) -> usize {
         self.tenants.get(&tenant).map_or(0, |q| q.pending.len())
@@ -135,7 +87,7 @@ impl ShardState {
         self.tenants.keys().copied().collect()
     }
 
-    pub fn push(&mut self, tenant: TenantId, req: ServiceRequest) {
+    pub fn push(&mut self, tenant: TenantId, req: Request) {
         self.injected += 1;
         self.tenants
             .entry(tenant)
@@ -161,119 +113,76 @@ impl ShardState {
         true
     }
 
-    /// Take the tenant's front request if it can make progress: expired
-    /// requests pop for free, live ones cost one credit. `None` when the
-    /// queue is empty or the credit ran out.
-    pub fn pop_action(&mut self, tenant: TenantId, now: Instant) -> Option<DrainAction> {
+    /// Pop the tenant's front request if it holds a credit to pay for
+    /// it. The credit is only spent ([`ShardState::spend`]) once the
+    /// request survives its expiry check, so expiries drain for free.
+    pub fn pop(&mut self, tenant: TenantId) -> Option<Request> {
         let q = self.tenants.get_mut(&tenant)?;
-        let expired = q
-            .pending
-            .front()
-            .map(|r| r.deadline.is_some_and(|d| now >= d))?;
-        if expired {
-            return Some(DrainAction::Expire(
-                q.pending.pop_front().expect("front exists"),
-            ));
-        }
         if q.deficit == 0 {
             return None;
         }
-        q.deficit -= 1;
-        Some(DrainAction::Submit(
-            q.pending.pop_front().expect("front exists"),
-        ))
+        q.pending.pop_front()
     }
 
-    /// Record a resolved service ticket.
-    pub fn complete(&mut self, ticket: ServiceTicket, result: Result<EngineOutput, EngineError>) {
-        self.completed.insert(ticket, (self.epoch, result));
+    pub fn spend(&mut self, tenant: TenantId) {
+        if let Some(q) = self.tenants.get_mut(&tenant) {
+            q.deficit -= 1;
+        }
     }
 
-    pub fn take_completed(
-        &mut self,
-        ticket: ServiceTicket,
-    ) -> Option<Result<EngineOutput, EngineError>> {
-        self.completed.remove(&ticket).map(|(_, r)| r)
+    /// Redeem a service ticket against the completion store.
+    pub fn redeem(&mut self, ticket: u64) -> Result<EngineOutput, EngineError> {
+        let tenants = &self.tenants;
+        self.done.redeem(ticket, || {
+            tenants
+                .values()
+                .any(|q| q.pending.iter().any(|r| r.ticket == ticket))
+        })
     }
 
-    /// Whether the ticket is still waiting in the injector.
-    pub fn is_pending(&self, ticket: ServiceTicket) -> bool {
-        self.tenants
-            .values()
-            .any(|q| q.pending.iter().any(|r| r.ticket == ticket))
-    }
-
-    /// Close out a drain: advance the epoch and drop unclaimed results
-    /// older than `ttl_flushes` drains. Returns the number evicted.
-    pub fn end_flush(&mut self, ttl_flushes: u64) -> u64 {
-        self.epoch += 1;
-        let cutoff = self.epoch.saturating_sub(ttl_flushes);
-        let before = self.completed.len();
-        self.completed.retain(|_, (epoch, _)| *epoch >= cutoff);
+    /// Forget tenants whose queues a drain emptied.
+    pub fn prune(&mut self) {
         self.tenants.retain(|_, q| !q.pending.is_empty());
-        (before - self.completed.len()) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::batch::Op;
+    use mps_sparse::CsrMatrix;
+    use std::sync::Arc;
 
-    fn req(ticket: u64, deadline: Option<Instant>) -> ServiceRequest {
-        ServiceRequest {
-            ticket: ServiceTicket::new(ticket, 0),
-            op: ServiceOp::Spmv {
-                a: Arc::new(CsrMatrix::identity(2)),
-                x: vec![1.0, 2.0],
-            },
-            deadline,
-        }
+    fn req(ticket: u64) -> Request {
+        let a = Arc::new(CsrMatrix::identity(2));
+        let mut r = Request::new(&a, 0, Op::Vector(vec![1.0, 2.0]), None, None).expect("fits");
+        r.ticket = ticket;
+        r
     }
 
     #[test]
-    fn drr_spends_credits_and_expires_for_free() {
-        let mut st = ShardState::new();
+    fn drr_pops_only_with_credit_and_spends_on_admission() {
+        let mut st = ShardState::default();
         let t = TenantId(5);
-        let now = Instant::now();
-        let past = now - Duration::from_secs(1);
-        st.push(t, req(1, Some(past)));
-        st.push(t, req(2, None));
-        st.push(t, req(3, None));
+        for k in 1..=3 {
+            st.push(t, req(k));
+        }
         assert_eq!(st.pending_for(t), 3);
+        assert!(st.pop(t).is_none(), "no credit before the first refill");
         assert!(st.refill(t, 1));
-        // Expired front pops without spending the single credit…
-        assert!(
-            matches!(st.pop_action(t, now), Some(DrainAction::Expire(r)) if r.ticket == ServiceTicket::new(1, 0))
-        );
-        // …the credit then admits exactly one live request…
-        assert!(matches!(
-            st.pop_action(t, now),
-            Some(DrainAction::Submit(_))
-        ));
-        // …and the third blocks until the next refill.
-        assert!(st.pop_action(t, now).is_none());
+        // An unspent pop (an expiry) leaves the credit for the next one…
+        assert_eq!(st.pop(t).map(|r| r.ticket), Some(1));
+        assert_eq!(st.pop(t).map(|r| r.ticket), Some(2));
+        st.spend(t);
+        // …and once it is spent the third blocks until the next refill.
+        assert!(st.pop(t).is_none());
+        assert_eq!(st.redeem(3), Err(EngineError::NotReady(3)));
         assert!(st.refill(t, 1));
-        assert!(matches!(
-            st.pop_action(t, now),
-            Some(DrainAction::Submit(_))
-        ));
-        assert!(st.pop_action(t, now).is_none());
+        assert_eq!(st.pop(t).map(|r| r.ticket), Some(3));
+        st.spend(t);
         // Empty queue: refill refuses and zeroes any banked deficit.
-        assert!(st.refill(t, 10) || st.pending_for(t) == 0);
-    }
-
-    #[test]
-    fn completion_store_ages_out() {
-        let mut st = ShardState::new();
-        let k = ServiceTicket::new(9, 0);
-        st.complete(k, Err(EngineError::UnknownTicket(0)));
-        st.end_flush(2);
-        assert!(st.take_completed(k).is_some(), "survives within ttl");
-        let k2 = ServiceTicket::new(10, 0);
-        st.complete(k2, Err(EngineError::UnknownTicket(0)));
-        st.end_flush(1);
-        st.end_flush(1);
-        assert!(st.take_completed(k2).is_none(), "aged out past ttl");
+        assert!(!st.refill(t, 10));
+        st.prune();
+        assert_eq!(st.tenant_ids(), Vec::<TenantId>::new());
     }
 }

@@ -5,25 +5,27 @@ use std::fmt::Write as _;
 use crate::stats::{EngineStats, TenantTable};
 
 /// Snapshot of a [`super::Service`]: one [`EngineStats`] per shard plus
-/// the service-level QoS ledger (quota rejections and injector-expired
-/// deadlines — events the shard engines never see).
+/// the service-level ledger. The service ledger counts the one decision
+/// the service makes at submit — quota rejections. Everything decided at
+/// drain (expiries, forced rejections) and everything executed is counted
+/// by the shard engine whose chaos stream and executor handled it.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Per-shard engine snapshots, indexed by shard.
     pub shards: Vec<EngineStats>,
-    /// Service-level per-tenant events, merged across shards.
+    /// Service-level per-tenant quota rejections, merged across shards.
     pub service_tenants: TenantTable,
     /// Requests accepted into shard injectors.
     pub injected: u64,
-    /// Requests handed to shard engines by drains.
+    /// Requests the drains handed to shard executors.
     pub drained: u64,
     /// [`super::Service::flush`] calls.
     pub flushes: u64,
 }
 
 impl ServiceStats {
-    /// Quota rejections at the service layer (before any engine saw the
-    /// request).
+    /// Quota rejections at the service layer (at submit, before the
+    /// request was queued).
     pub fn quota_rejections(&self) -> u64 {
         self.service_tenants.iter().map(|(_, c)| c.overloads).sum()
     }

@@ -138,9 +138,10 @@ pub struct EngineStats {
     pub pool_reuses: u64,
     /// Requests completed (direct calls plus flushed submissions).
     pub requests: u64,
-    /// Coalesced SpMM traversals executed by the batcher.
+    /// Flushed groups executed (coalesced SpMM traversals and lone SpMV
+    /// dispatches).
     pub batches: u64,
-    /// SpMV submissions completed through the batcher.
+    /// SpMV/SpMM requests completed through flushed groups.
     pub batched_requests: u64,
     /// `batch_histogram[s]` counts flushed groups of exactly `s` requests
     /// (index 0 is unused; the vector grows to the largest size seen).

@@ -9,7 +9,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use merge_path_sparse::engine::{ChaosConfig, Engine, EngineConfig, EngineError, Ticket};
+use merge_path_sparse::engine::{
+    ChaosConfig, ChaosCounters, Engine, EngineConfig, EngineError, EngineOutput, Service,
+    ServiceConfig, TenantId, Ticket,
+};
 use merge_path_sparse::prelude::*;
 use mps_testkit::strategies::sprinkled;
 
@@ -325,4 +328,93 @@ fn fault_schedules_replay_deterministically() {
         fates_a != fates_c || chaos_a != chaos_c,
         "different seeds replayed identically (astronomically unlikely)"
     );
+}
+
+/// Replay holds across matrices too: with many matrices queued per
+/// flush, nothing in a flush or a service drain may depend on hash
+/// order. An engine and a 2-shard service, each driven twice through the
+/// same schedule with half of all deadlines forcibly expired, must
+/// reproduce every request's fate and every shard's fault counts.
+#[test]
+fn fault_schedules_replay_across_matrices() {
+    let chaos = ChaosConfig {
+        seed: 42,
+        deadline_expiry_p: 0.5,
+        ..ChaosConfig::default()
+    };
+    let mats: Vec<Arc<CsrMatrix>> = (0..16).map(|s| matrix(200 + s)).collect();
+    let deadline = Some(Duration::from_secs(3600));
+    let fate = |r: Result<EngineOutput, EngineError>| match r {
+        Ok(_) => "completed",
+        Err(EngineError::DeadlineExceeded { .. }) => "expired",
+        other => panic!("unexpected redemption outcome: {other:?}"),
+    };
+    let drive_engine = || {
+        let engine = chaos_engine(chaos.clone());
+        let mut fates = Vec::new();
+        for round in 0..3 {
+            let tickets: Vec<Ticket> = mats
+                .iter()
+                .enumerate()
+                .map(|(i, a)| {
+                    engine
+                        .submit_spmv(a, operand(a.num_cols, round * 16 + i), deadline)
+                        .expect("admitted")
+                })
+                .collect();
+            engine.flush();
+            fates.extend(tickets.into_iter().map(|t| fate(engine.take_result(t))));
+        }
+        (fates, vec![engine.stats().chaos])
+    };
+    let drive_service = || {
+        let cfg = ServiceConfig::builder()
+            .shards(2)
+            .engine(
+                EngineConfig::builder()
+                    .chaos(chaos.clone())
+                    .build()
+                    .expect("valid config"),
+            )
+            .build()
+            .expect("valid config");
+        let svc = Service::with_config(&device(), cfg);
+        let mut fates = Vec::new();
+        for round in 0..3 {
+            let tickets: Vec<_> = mats
+                .iter()
+                .enumerate()
+                .map(|(i, a)| {
+                    svc.submit_spmv(
+                        TenantId(0),
+                        a,
+                        operand(a.num_cols, round * 16 + i),
+                        deadline,
+                    )
+                    .expect("admitted")
+                })
+                .collect();
+            svc.flush();
+            fates.extend(tickets.into_iter().map(|t| fate(svc.take_result(t))));
+        }
+        let counters: Vec<ChaosCounters> = svc.stats().shards.iter().map(|s| s.chaos).collect();
+        (fates, counters)
+    };
+    type Run = (Vec<&'static str>, Vec<ChaosCounters>);
+    let check = |what: &str, [(fates_a, chaos_a), (fates_b, chaos_b)]: [Run; 2]| {
+        assert_eq!(
+            fates_a, fates_b,
+            "{what}: same seed must replay the same fates"
+        );
+        assert_eq!(
+            chaos_a, chaos_b,
+            "{what}: same seed must inject the same faults"
+        );
+        assert!(
+            fates_a.contains(&"completed") && fates_a.contains(&"expired"),
+            "{what}: schedule should mix outcomes: {fates_a:?}"
+        );
+    };
+    check("engine", [drive_engine(), drive_engine()]);
+    check("service", [drive_service(), drive_service()]);
 }

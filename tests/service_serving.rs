@@ -275,3 +275,43 @@ fn overload_deadline_expiries_name_their_tenant() {
     assert_eq!(agg.tenants.get(TenantId(9)).deadline_misses, 6);
     assert_eq!(agg.tenants.get(TenantId(8)).deadline_misses, 0);
 }
+
+/// Quota admission is final: under the default config two tenants each
+/// fill their pending quota on one matrix. Every admitted request must
+/// complete, bitwise equal to a single engine — none may be refused for
+/// queue depth after `submit_spmv` returned `Ok`.
+#[test]
+fn quota_admitted_requests_always_complete() {
+    let dev = device();
+    let cfg = ServiceConfig::builder().build().expect("valid");
+    let quota = cfg.spec(TenantId(1)).max_pending;
+    let svc = Service::with_config(&dev, cfg);
+    let a = Arc::new(sprinkled(90, 90, 2, 4, 41));
+    let reference = Engine::new(&dev);
+    let mut outstanding = Vec::new();
+    for tenant in [TenantId(1), TenantId(2)] {
+        for slot in 0..quota {
+            let t = svc
+                .submit_spmv(tenant, &a, operand(90, slot), None)
+                .expect("within quota");
+            outstanding.push((t, bits(&reference.spmv(&a, &operand(90, slot)))));
+        }
+    }
+    for _ in 0..4 {
+        svc.flush();
+        outstanding.retain(|(t, want)| match svc.take_result(*t) {
+            Ok(out) => {
+                assert_eq!(&bits(&out.into_vector()), want);
+                false
+            }
+            Err(EngineError::NotReady(_)) => true,
+            Err(e) => panic!("request refused after quota admission: {e}"),
+        });
+    }
+    assert!(
+        outstanding.is_empty(),
+        "{} never completed",
+        outstanding.len()
+    );
+    assert_eq!(svc.stats().aggregate().requests, 2 * quota as u64);
+}
